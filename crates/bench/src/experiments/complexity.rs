@@ -18,9 +18,10 @@
 //! related-work discussion, now with measured columns.
 //!
 //! Besides the stdout table the experiment **commits its numbers**: it
-//! writes the versioned `BENCH_complexity.json` at the workspace root
-//! (tracked like `BENCH_churn.json`; the CI smoke step asserts it is
-//! emitted and parses).
+//! writes the versioned `BENCH_complexity.json` into the working
+//! directory — the tracked copy when run from the repository root, like
+//! `BENCH_churn.json` (the CI smoke step asserts it is emitted and
+//! parses).
 
 use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_baselines::suite::{

@@ -31,8 +31,9 @@
 //! threaded and must hold anywhere.
 //!
 //! Besides the stdout tables the experiment **commits its numbers**:
-//! it writes the versioned `BENCH_parallel.json` at the workspace root
-//! (tracked like `BENCH_tick.json`; the CI smoke asserts it validates).
+//! it writes the versioned `BENCH_parallel.json` into the working
+//! directory — the tracked copy when run from the repository root, like
+//! `BENCH_tick.json` (the CI smoke asserts it validates).
 
 use crate::{ExpConfig, ExperimentResult};
 use bfw_core::{Bfw, BitNetwork};

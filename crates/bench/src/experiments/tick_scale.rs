@@ -20,9 +20,10 @@
 //! experiment's runtime at `n = 10⁶`.
 //!
 //! Besides the stdout table the experiment **commits its numbers**: it
-//! writes the versioned `BENCH_tick.json` at the workspace root
-//! (tracked like `BENCH_churn.json` / `BENCH_complexity.json`; the CI
-//! smoke step asserts it is emitted and parses).
+//! writes the versioned `BENCH_tick.json` into the working directory —
+//! the tracked copy when run from the repository root, like
+//! `BENCH_churn.json` / `BENCH_complexity.json` (the CI smoke step
+//! asserts it is emitted and parses).
 
 use crate::{ExpConfig, ExperimentResult};
 use bfw_core::{Bfw, BitNetwork};

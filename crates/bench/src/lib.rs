@@ -50,12 +50,12 @@ pub struct ExpConfig {
     /// support it (E17) add perception-noise rows on top of their
     /// noise-free tables.
     pub noise: bool,
-    /// Where report-emitting experiments (E19/E20) write their
-    /// `BENCH_*.json`. `None` means the workspace root — the tracked
-    /// location the CI smoke steps assert on. Tests point this at a
-    /// scratch directory so `cargo test` never clobbers the committed
-    /// artifacts (the tick-scale report holds wall-clock timings from a
-    /// release build; a quick debug-build rewrite would destroy them).
+    /// Where report-emitting experiments (E19/E20/E21) write their
+    /// `BENCH_*.json`. `None` means the current working directory, so a
+    /// `bfw experiment` run writes where it is run and never into the
+    /// source checkout it was built from (the CI smoke steps run from
+    /// the repository root). Tests point this at a scratch directory so
+    /// `cargo test` never clobbers the committed artifacts.
     pub report_dir: Option<std::path::PathBuf>,
 }
 
@@ -86,15 +86,9 @@ impl ExpConfig {
 
     /// Resolves the directory `BENCH_*.json` reports land in:
     /// [`report_dir`](ExpConfig::report_dir) when set, otherwise the
-    /// workspace root (next to `BENCH_churn.json`).
+    /// current working directory (the empty relative path).
     pub fn report_root(&self) -> std::path::PathBuf {
-        self.report_dir.clone().unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("crates/bench has a workspace root")
-                .to_path_buf()
-        })
+        self.report_dir.clone().unwrap_or_default()
     }
 }
 
@@ -131,5 +125,24 @@ impl ExperimentResult {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    #[test]
+    fn reports_land_in_the_working_directory_unless_redirected() {
+        for cfg in [ExpConfig::quick(), ExpConfig::full()] {
+            let path = cfg.report_root().join("BENCH_tick.json");
+            assert_eq!(path, Path::new("BENCH_tick.json"), "relative to the cwd");
+        }
+        let cfg = ExpConfig {
+            report_dir: Some("/tmp/reports".into()),
+            ..ExpConfig::quick()
+        };
+        assert_eq!(cfg.report_root(), Path::new("/tmp/reports"));
     }
 }

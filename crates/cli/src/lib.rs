@@ -26,6 +26,7 @@
 use bfw_bench::{experiments, ExpConfig, GraphSpec};
 use bfw_core::{theory, viz, Bfw, InitialConfig};
 use bfw_graph::{algo, Graph, NodeId};
+use bfw_scenario::did_you_mean;
 use bfw_sim::{observe_run, run_election, ElectionConfig, Network, TraceRecorder};
 use std::fmt::Write as _;
 
@@ -251,7 +252,8 @@ experiment flags:
                'recovery' experiment reads it, the others ignore it
   the 'complexity' experiment (E19) emits a Table-1-style faceoff
   (rounds/beeps/bits/messages/state across protocols and topologies)
-  and writes the versioned BENCH_complexity.json next to the table
+  and writes the versioned BENCH_complexity.json into the current
+  directory
 
 scenario run flags:
   --seed S        overrides the spec's seed      --rounds N  overrides the horizon
@@ -287,7 +289,9 @@ interchange: every artifact is one versioned JSON envelope, format bfw/KIND
              diff` prints a structured bfw/report-diff with JSON-pointer paths,
              `bfw report history` folds successive bench reports of one
              experiment into a bfw/bench-history trajectory
-scenarios:   TOML spec; `protocol = \"bfw+recovery\"` runs the self-healing stack,
+scenarios:   a TOML spec or a bfw/scenario-spec document (what `scenario export
+             --out` and `scenario shrink --out` write) — every scenario verb
+             reads both; `protocol = \"bfw+recovery\"` runs the self-healing stack,
              `runtime = \"async\"` runs activation-based scheduling (scheduler:
              uniform | weighted | replay; timeline positions in activations)
 experiments: {}",
@@ -797,38 +801,6 @@ fn parse_int(s: &str, flag: &str) -> Result<u64, String> {
         .map_err(|_| format!("{flag} needs an integer, got '{s}'"))
 }
 
-/// Levenshtein distance (iterative two-row DP) — small inputs only.
-/// Mirrors the scenario spec parser's hinting so `bfw experiment
-/// tabel1` gets the same "did you mean" treatment as a misspelled TOML
-/// key.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// Returns ` (did you mean 'x'?)` when a known name is within edit
-/// distance 2 of `given`, or an empty string otherwise.
-fn did_you_mean(given: &str, known: &[&str]) -> String {
-    known
-        .iter()
-        .map(|k| (edit_distance(given, k), *k))
-        .filter(|&(d, _)| d <= 2)
-        .min_by_key(|&(d, _)| d)
-        .map(|(_, k)| format!(" (did you mean '{k}'?)"))
-        .unwrap_or_default()
-}
-
 /// Executes a parsed command, returning the text to print.
 ///
 /// # Errors
@@ -961,8 +933,7 @@ fn run_scenario(
     kernel: Option<bfw_scenario::KernelKind>,
     threads: Option<usize>,
 ) -> Result<String, String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    let mut spec = bfw_scenario::ScenarioSpec::parse(&text).map_err(|e| e.to_string())?;
+    let mut spec = load_scenario_spec(file)?;
     if let Some(rounds) = rounds {
         spec.rounds = rounds;
     }
@@ -973,8 +944,7 @@ fn run_scenario(
         spec.threads = Some(threads);
     }
     let seed = seed.unwrap_or(spec.seed);
-    let workload: GraphSpec = spec.graph.parse().map_err(|e| format!("{e}"))?;
-    let graph = workload.build();
+    let (workload, graph) = build_scenario_graph(&spec)?;
     // Tracing is on when any of the CLI flags or the spec's [trace]
     // section asks for it; CLI values override the spec's.
     let tracing = trace_file.is_some() || trace_last.is_some() || spec.trace.is_some();
@@ -1009,11 +979,17 @@ fn run_scenario(
     Ok(out)
 }
 
-/// Reads and parses a scenario spec, reporting errors under the file's
-/// name.
+/// Reads a scenario spec, reporting errors under the file's name: every
+/// scenario verb's one loader. A JSON document is decoded as the
+/// `bfw/scenario-spec` that `scenario export --out` and `scenario
+/// shrink --out` write; anything else is parsed as TOML.
 fn load_scenario_spec(file: &str) -> Result<bfw_scenario::ScenarioSpec, String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    bfw_scenario::ScenarioSpec::parse(&text).map_err(|e| format!("{file}: {e}"))
+    if bfw_stats::JsonValue::parse(&text).is_ok() {
+        bfw_scenario::spec_from_json(&text).map_err(|e| format!("{file}: {e}"))
+    } else {
+        bfw_scenario::ScenarioSpec::parse(&text).map_err(|e| format!("{file}: {e}"))
+    }
 }
 
 /// Builds the workload graph a spec names.

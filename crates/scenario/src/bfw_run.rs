@@ -1,8 +1,10 @@
-//! BFW-specific wiring: injectors and the one-call scenario runner.
+//! BFW-specific wiring: injectors, the one stack builder, the one
+//! scenario driver, and the one-call scenario runner.
 
+use crate::spec::check_stack_invariants;
 use crate::{
-    Engine, InjectKind, Injector, KernelKind, ProtocolKind, RuntimeKind, ScenarioEvent,
-    ScenarioOutcome, ScenarioSpec, ScenarioTrace, SpecError,
+    DynamicHost, Engine, EngineSnapshot, InjectKind, Injector, KernelKind, ProtocolKind,
+    RuntimeKind, ScenarioEvent, ScenarioOutcome, ScenarioSpec, ScenarioTrace, SpecError,
 };
 use bfw_core::{
     adversarial, Bfw, BfwState, BitNetwork, RecoveringNetwork, RecoveringProtocol, RecoveryConfig,
@@ -185,12 +187,12 @@ pub fn resolved_threads(spec: &ScenarioSpec) -> usize {
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] when the spec's recovery-timing overrides
-/// are invalid for this graph (see [`scenario_recovery_config`]), or
-/// when `runtime = "async"` is combined with `protocol =
-/// "bfw+recovery"` (slot multiplexing needs synchronous rounds; the
-/// parser rejects the combination, and programmatically built specs
-/// fail here).
+/// Returns a [`SpecError`] when the spec breaks a stack rule (for
+/// instance `runtime = "async"` with `protocol = "bfw+recovery"`: slot
+/// multiplexing needs synchronous rounds — the parser rejects such
+/// combinations, and programmatically built specs fail here), or when
+/// its recovery-timing overrides are invalid for this graph (see
+/// [`scenario_recovery_config`]).
 pub fn run_bfw_scenario(
     spec: &ScenarioSpec,
     graph: &Graph,
@@ -218,142 +220,229 @@ pub fn run_bfw_scenario_traced(
     seed: u64,
     trace: Option<usize>,
 ) -> Result<(ScenarioOutcome, Option<ScenarioTrace>), SpecError> {
+    build_stack(spec, graph, seed, trace)?
+        .drive(spec, graph, seed, None, None)
+        .map(Driven::finished)
+}
+
+/// The four host stacks a spec resolves to.
+pub(crate) enum Stack {
+    /// Plain synchronous BFW on the generic per-node engine.
+    Generic(Network<Bfw>),
+    /// Plain synchronous BFW on the bitplane kernel.
+    Bit(BitNetwork),
+    /// BFW as a stone-age protocol under activation scheduling.
+    Async(AsyncStoneAgeNetwork<BeepingAsStoneAge<Bfw>>),
+    /// BFW inside the self-healing recovery layer.
+    Recovery(RecoveringNetwork<Bfw>),
+}
+
+/// Builds the host a spec asks for on `graph`, seeded with `seed`: the
+/// one place that checks the stack rules and resolves runtime,
+/// protocol, kernel, threads, scheduler and recovery timing.
+/// `trace = Some(capacity)` turns the host's instrumentation on with a
+/// flight recorder of that capacity.
+///
+/// # Errors
+///
+/// Same as [`run_bfw_scenario`].
+pub(crate) fn build_stack(
+    spec: &ScenarioSpec,
+    graph: &Graph,
+    seed: u64,
+    trace: Option<usize>,
+) -> Result<Stack, SpecError> {
     check_stack_invariants(spec)?;
-    if spec.runtime == RuntimeKind::Async {
-        if spec.protocol == ProtocolKind::BfwRecovery {
-            return Err(SpecError::new(
-                "runtime = \"async\" cannot execute protocol = \"bfw+recovery\": slot \
-                 multiplexing needs synchronous rounds (did you mean protocol = \"bfw\"?)",
-            ));
-        }
-        let mut host = AsyncStoneAgeNetwork::new(
-            BeepingAsStoneAge::new(Bfw::new(spec.p)),
-            graph.clone().into(),
-            seed,
-        );
+    let topology = graph.clone().into();
+    Ok(if spec.runtime == RuntimeKind::Async {
+        let mut host =
+            AsyncStoneAgeNetwork::new(BeepingAsStoneAge::new(Bfw::new(spec.p)), topology, seed);
         host.set_scheduler(spec.scheduler.unwrap_or_default());
-        if let Some(capacity) = trace {
-            host.enable_instrumentation(Some(capacity));
+        Stack::Async(instrumented(host, trace))
+    } else if spec.protocol == ProtocolKind::BfwRecovery {
+        let protocol = RecoveringProtocol::bfw(spec.p, scenario_recovery_config(spec, graph)?);
+        Stack::Recovery(instrumented(
+            RecoveringNetwork::new(protocol, topology, seed),
+            trace,
+        ))
+    } else if resolved_kernel(spec, graph.node_count()) == KernelKind::Bit {
+        let mut host = BitNetwork::new(Bfw::new(spec.p), topology, seed);
+        host.set_threads(resolved_threads(spec));
+        Stack::Bit(instrumented(host, trace))
+    } else {
+        Stack::Generic(instrumented(
+            Network::new(Bfw::new(spec.p), topology, seed),
+            trace,
+        ))
+    })
+}
+
+impl Stack {
+    /// Drives a scenario on this stack: from round zero, or from the
+    /// paused run `from` (whose topology `graph` must be), to the
+    /// horizon — or, with `pause_at`, to that round, capturing a
+    /// snapshot instead of an outcome. `spec` supplies the timeline,
+    /// horizon and stability window, and becomes the snapshot's
+    /// embedded spec.
+    ///
+    /// # Errors
+    ///
+    /// A [`SpecError`] when a pause or resume is asked of a stack whose
+    /// states have no snapshot encoding (`bfw+recovery`).
+    pub(crate) fn drive(
+        self,
+        spec: &ScenarioSpec,
+        graph: &Graph,
+        seed: u64,
+        from: Option<&EngineSnapshot>,
+        pause_at: Option<u64>,
+    ) -> Result<Driven, SpecError> {
+        match self {
+            Stack::Generic(host) => drive(host, spec, graph, seed, from, pause_at),
+            Stack::Bit(host) => drive(host, spec, graph, seed, from, pause_at),
+            Stack::Async(host) => drive(host, spec, graph, seed, from, pause_at),
+            Stack::Recovery(host) => drive(host, spec, graph, seed, from, pause_at),
         }
-        return Ok(Engine::new(
+    }
+}
+
+/// What the driver needs of a stack's per-node state: its Section 5
+/// injector, and its `bfw/engine-snapshot` encoding. The document
+/// carries the six plain BFW states; the recovery layer's epoch-tagged
+/// states have no encoding, so the driver refuses to pause or resume
+/// that stack.
+pub(crate) trait StackState: Sized {
+    /// `false` for states the snapshot document cannot carry.
+    const ENCODED: bool = true;
+    /// The injector resolving [`InjectKind`] into these states.
+    fn injector() -> Injector<Self>;
+    /// The states as snapshot entries.
+    fn encode(states: Vec<Self>) -> Vec<BfwState>;
+    /// Snapshot entries as states.
+    fn decode(entries: &[BfwState]) -> Vec<Self>;
+}
+
+impl StackState for BfwState {
+    fn injector() -> Injector<Self> {
+        bfw_injector()
+    }
+
+    fn encode(states: Vec<Self>) -> Vec<BfwState> {
+        states
+    }
+
+    fn decode(entries: &[BfwState]) -> Vec<Self> {
+        entries.to_vec()
+    }
+}
+
+impl StackState for RecoveryState<BfwState> {
+    const ENCODED: bool = false;
+
+    fn injector() -> Injector<Self> {
+        recovering_bfw_injector()
+    }
+
+    fn encode(_: Vec<Self>) -> Vec<BfwState> {
+        unreachable!("the driver checks ENCODED before pausing")
+    }
+
+    fn decode(_: &[BfwState]) -> Vec<Self> {
+        unreachable!("the driver checks ENCODED before resuming")
+    }
+}
+
+/// Where a [`Stack::drive`] ended.
+pub(crate) enum Driven {
+    /// At the horizon: the outcome, and the trace when the host's
+    /// instrumentation was on.
+    Finished(ScenarioOutcome, Option<Box<ScenarioTrace>>),
+    /// At the pause round.
+    Paused(Box<EngineSnapshot>),
+}
+
+impl Driven {
+    /// The outcome and trace of a drive without a pause round.
+    pub(crate) fn finished(self) -> (ScenarioOutcome, Option<ScenarioTrace>) {
+        match self {
+            Driven::Finished(outcome, trace) => (outcome, trace.map(|t| *t)),
+            Driven::Paused(_) => unreachable!("a drive pauses only when given a pause round"),
+        }
+    }
+
+    /// The snapshot of a drive with a pause round.
+    pub(crate) fn paused(self) -> EngineSnapshot {
+        match self {
+            Driven::Paused(snap) => *snap,
+            Driven::Finished(..) => unreachable!("a drive with a pause round always pauses"),
+        }
+    }
+}
+
+/// The one scenario driver every stack runs through (see
+/// [`Stack::drive`]).
+fn drive<H>(
+    mut host: H,
+    spec: &ScenarioSpec,
+    graph: &Graph,
+    seed: u64,
+    from: Option<&EngineSnapshot>,
+    pause_at: Option<u64>,
+) -> Result<Driven, SpecError>
+where
+    H: DynamicHost,
+    H::State: StackState,
+{
+    if (from.is_some() || pause_at.is_some()) && !H::State::ENCODED {
+        return Err(SpecError::new(
+            "scenario lifecycle verbs support protocol = \"bfw\" only: the recovery layer's \
+             epoch-tagged states have no snapshot encoding (use 'scenario run' for \
+             bfw+recovery)",
+        ));
+    }
+    let engine = match from {
+        None => Engine::new(
             host,
             graph,
             &spec.timeline,
             spec.rounds,
             seed,
             spec.stability,
-        )
-        .with_injector(bfw_injector())
-        .run_traced());
+        ),
+        Some(snap) => {
+            // Restore order matters on the async engine: the scheduler
+            // was installed at construction (re-drawing the replay
+            // permutation), and the checkpoint then fast-forwards its
+            // stream.
+            host.restore_checkpoint(&snap.checkpoint, H::State::decode(&snap.states));
+            let cursor = snap.cursor.clone();
+            Engine::resume(host, graph, &spec.timeline, spec.rounds, seed, cursor)
+        }
+    };
+    let mut engine = engine.with_injector(H::State::injector());
+    engine.run_until(pause_at.unwrap_or(spec.rounds));
+    if pause_at.is_none() {
+        let (outcome, trace) = engine.into_traced_outcome();
+        return Ok(Driven::Finished(outcome, trace.map(Box::new)));
     }
-    Ok(match spec.protocol {
-        ProtocolKind::Bfw => {
-            if resolved_kernel(spec, graph.node_count()) == KernelKind::Bit {
-                let mut host = BitNetwork::new(Bfw::new(spec.p), graph.clone().into(), seed);
-                host.set_threads(resolved_threads(spec));
-                if let Some(capacity) = trace {
-                    host.enable_instrumentation(Some(capacity));
-                }
-                Engine::new(
-                    host,
-                    graph,
-                    &spec.timeline,
-                    spec.rounds,
-                    seed,
-                    spec.stability,
-                )
-                .with_injector(bfw_injector())
-                .run_traced()
-            } else {
-                let mut host = Network::new(Bfw::new(spec.p), graph.clone().into(), seed);
-                if let Some(capacity) = trace {
-                    host.enable_instrumentation(Some(capacity));
-                }
-                Engine::new(
-                    host,
-                    graph,
-                    &spec.timeline,
-                    spec.rounds,
-                    seed,
-                    spec.stability,
-                )
-                .with_injector(bfw_injector())
-                .run_traced()
-            }
-        }
-        ProtocolKind::BfwRecovery => {
-            let config = scenario_recovery_config(spec, graph)?;
-            let protocol = RecoveringProtocol::bfw(spec.p, config);
-            let mut host = RecoveringNetwork::new(protocol, graph.clone().into(), seed);
-            if let Some(capacity) = trace {
-                host.enable_instrumentation(Some(capacity));
-            }
-            Engine::new(
-                host,
-                graph,
-                &spec.timeline,
-                spec.rounds,
-                seed,
-                spec.stability,
-            )
-            .with_injector(recovering_bfw_injector())
-            .run_traced()
-        }
-    })
+    let host = engine.host();
+    Ok(Driven::Paused(Box::new(EngineSnapshot {
+        spec: spec.clone(),
+        seed,
+        round: host.round(),
+        graph: host.topology_snapshot(),
+        states: H::State::encode(host.states()),
+        checkpoint: host.checkpoint(),
+        cursor: engine.cursor(),
+    })))
 }
 
-/// The stack invariants every runner (and the `validate` verb) enforces
-/// before touching a host: combinations the parser rejects in TOML must
-/// fail identically on programmatically built specs instead of silently
-/// running the wrong stack or dropping a key.
-pub(crate) fn check_stack_invariants(spec: &ScenarioSpec) -> Result<(), SpecError> {
-    if spec.runtime == RuntimeKind::Sync && spec.scheduler.is_some() {
-        return Err(SpecError::new(
-            "scheduler requires runtime = \"async\" (synchronous rounds have no activation \
-             scheduler)",
-        ));
+/// `host` with its instrumentation on when a trace is requested.
+fn instrumented<H: DynamicHost>(mut host: H, trace: Option<usize>) -> H {
+    if trace.is_some() {
+        host.enable_instrumentation(trace);
     }
-    // Mirror the parser's recovery-keys invariant for programmatically
-    // built specs: overrides on a stack without a recovery layer would
-    // otherwise be silently dropped.
-    if spec.protocol == ProtocolKind::Bfw
-        && (spec.heartbeat.is_some() || spec.timeout.is_some() || spec.grace.is_some())
-    {
-        return Err(SpecError::new(
-            "heartbeat/timeout/grace require protocol = \"bfw+recovery\" (plain bfw has no \
-             recovery layer)",
-        ));
-    }
-    // Mirror the parser's kernel invariants too: an explicit bit kernel
-    // on a stack it cannot execute must fail loudly, never silently run
-    // the generic path.
-    if spec.kernel == KernelKind::Bit {
-        if spec.protocol == ProtocolKind::BfwRecovery {
-            return Err(SpecError::new(
-                "kernel = \"bit\" cannot execute protocol = \"bfw+recovery\": the bitplane \
-                 kernel packs the six plain BFW states (did you mean kernel = \"generic\"?)",
-            ));
-        }
-        if spec.runtime == RuntimeKind::Async {
-            return Err(SpecError::new(
-                "kernel = \"bit\" requires synchronous rounds (did you mean runtime = \
-                 \"sync\"?)",
-            ));
-        }
-    }
-    // And the parser's threads invariants: only the bit kernel shards
-    // its step, so a thread count on any other stack must fail loudly.
-    if spec.threads.is_some()
-        && (spec.kernel == KernelKind::Generic
-            || spec.runtime == RuntimeKind::Async
-            || spec.protocol == ProtocolKind::BfwRecovery)
-    {
-        return Err(SpecError::new(
-            "threads requires the bit kernel on plain synchronous bfw: only the bitplane \
-             kernel's word-sharded step fans out across worker threads",
-        ));
-    }
-    Ok(())
+    host
 }
 
 #[cfg(test)]

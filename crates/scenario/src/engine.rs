@@ -47,6 +47,14 @@ pub struct Engine<H: DynamicHost> {
     /// leader set to the monitor (which would corrupt the stability
     /// streak).
     observed_through: Option<u64>,
+    /// Trace bookkeeping, kept only while the host's instrumentation is
+    /// on: the last leader set written to the flight recorder, the
+    /// `(disruption round, bits, messages)` ledger marks taken when each
+    /// disruption opens, and the channel cost of each completed
+    /// recovery (a subtraction against its disruption's mark).
+    prev_leaders: Option<Vec<NodeId>>,
+    disruption_marks: Vec<(u64, u64, u64)>,
+    recovery_costs: Vec<(u64, u64)>,
 }
 
 /// The engine's own resumable state, beyond what the host carries: the
@@ -186,6 +194,9 @@ impl<H: DynamicHost> Engine<H> {
             noise_off_at: None,
             log: Vec::new(),
             observed_through: None,
+            prev_leaders: None,
+            disruption_marks: Vec::new(),
+            recovery_costs: Vec::new(),
         }
     }
 
@@ -228,6 +239,9 @@ impl<H: DynamicHost> Engine<H> {
             noise_off_at: cursor.noise_off_at,
             log: cursor.log,
             observed_through: cursor.observed_through,
+            prev_leaders: None,
+            disruption_marks: Vec::new(),
+            recovery_costs: Vec::new(),
         }
     }
 
@@ -272,44 +286,35 @@ impl<H: DynamicHost> Engine<H> {
     /// Like [`run`](Self::run), but also hands back the host so callers
     /// can inspect its final configuration (e.g. the recovery layer's
     /// per-node epoch counters).
-    pub fn run_with_host(self) -> (ScenarioOutcome, H) {
-        let (outcome, host, _) = self.run_all();
-        (outcome, host)
+    pub fn run_with_host(mut self) -> (ScenarioOutcome, H) {
+        self.run_until(self.horizon);
+        self.into_outcome()
     }
 
     /// Like [`run`](Self::run), but also returns the
     /// [`ScenarioTrace`] — complexity ledger, flight-recorder dump and
     /// per-recovery channel costs — when the host's instrumentation is
-    /// on (`None` on uninstrumented hosts; enable it on the concrete
-    /// engine before constructing the `Engine`).
+    /// on (`None` on uninstrumented hosts; enable it on the host before
+    /// constructing the `Engine`).
     ///
     /// Tracing is purely passive: the outcome of a traced run is
     /// byte-identical to the untraced run at the same seed.
-    pub fn run_traced(self) -> (ScenarioOutcome, Option<ScenarioTrace>) {
-        let (outcome, host, recovery_costs) = self.run_all();
-        let trace = host.complexity_ledger().map(|ledger| ScenarioTrace {
-            ledger: ledger.clone(),
-            recorder: host.flight_recorder().cloned(),
-            recovery_costs,
-        });
-        (outcome, trace)
+    pub fn run_traced(mut self) -> (ScenarioOutcome, Option<ScenarioTrace>) {
+        self.run_until(self.horizon);
+        self.into_traced_outcome()
     }
 
-    /// Advances the run until the host has completed `target` rounds,
-    /// with `target`'s due events applied and its leader set observed
-    /// (so a snapshot taken here resumes cleanly). On a fresh engine
-    /// this processes rounds `0..=target`; on a resumed engine it picks
-    /// up right after the snapshot round without re-applying it.
-    /// Untraced (lifecycle verbs never instrument); byte-equivalent to
-    /// the [`run`](Self::run) loop over the same rounds.
+    /// The round loop: advances the run until the host has completed
+    /// `target` rounds, with `target`'s due events applied and its
+    /// leader set observed (so a snapshot taken here resumes cleanly).
+    /// On a fresh engine this processes rounds `0..=target`; on a
+    /// resumed engine it picks up right after the snapshot round
+    /// without re-applying it.
     pub fn run_until(&mut self, target: u64) {
         loop {
             let round = self.host.round();
             if self.observed_through != Some(round) {
-                self.apply_due_events(round);
-                let leaders = self.host.leaders();
-                self.monitor.observe(round, &leaders);
-                self.observed_through = Some(round);
+                self.observe(round);
             }
             if round >= target {
                 break;
@@ -319,9 +324,7 @@ impl<H: DynamicHost> Engine<H> {
     }
 
     /// Consumes the engine and assembles the outcome of the rounds run
-    /// so far (the tail of every runner). After a
-    /// [`run_until`](Self::run_until) to the horizon, this equals what
-    /// [`run_with_host`](Self::run_with_host) would have produced.
+    /// so far (the tail of every runner).
     pub fn into_outcome(self) -> (ScenarioOutcome, H) {
         let final_leaders = self.host.leaders();
         let final_alive = (0..self.host.node_count())
@@ -340,70 +343,54 @@ impl<H: DynamicHost> Engine<H> {
         (outcome, self.host)
     }
 
-    /// The run loop shared by every public runner. The third component
-    /// is the per-recovery `(bits, messages)` cost vector, aligned with
-    /// the outcome's recoveries (empty on untraced runs).
-    fn run_all(mut self) -> (ScenarioOutcome, H, Vec<(u64, u64)>) {
+    /// [`into_outcome`](Self::into_outcome) plus the [`ScenarioTrace`]
+    /// of the rounds run so far (`None` on uninstrumented hosts).
+    pub(crate) fn into_traced_outcome(mut self) -> (ScenarioOutcome, Option<ScenarioTrace>) {
+        let trace = self.host.complexity_ledger().map(|ledger| ScenarioTrace {
+            ledger: ledger.clone(),
+            recorder: self.host.flight_recorder().cloned(),
+            recovery_costs: std::mem::take(&mut self.recovery_costs),
+        });
+        (self.into_outcome().0, trace)
+    }
+
+    /// Applies `round`'s due events and feeds its leader set to the
+    /// monitor, keeping the trace bookkeeping when instrumentation is
+    /// on.
+    fn observe(&mut self, round: u64) {
+        self.apply_due_events(round);
         let tracing = self.host.instrumentation_enabled();
-        let mut prev_leaders: Option<Vec<NodeId>> = None;
-        // (disruption round, bits so far, messages so far): ledger
-        // snapshots taken when each disruption opens, so the channel
-        // cost of the recovery answering it is a subtraction.
-        let mut disruption_marks: Vec<(u64, u64, u64)> = Vec::new();
-        let mut recovery_costs: Vec<(u64, u64)> = Vec::new();
-        loop {
-            let round = self.host.round();
-            self.apply_due_events(round);
-            if tracing {
-                // Snapshot before observe(): a zero stability window
-                // can answer a disruption in its own round.
-                let (bits, messages) = self.ledger_totals();
-                for i in 0..self.monitor.pending_disruptions().len() {
-                    let d = self.monitor.pending_disruptions()[i];
-                    if !disruption_marks.iter().any(|&(r, _, _)| r == d) {
-                        disruption_marks.push((d, bits, messages));
-                    }
+        if tracing {
+            // Mark before the monitor observes: a zero stability
+            // window can answer a disruption in its own round.
+            let (bits, messages) = self.ledger_totals();
+            for &d in self.monitor.pending_disruptions() {
+                if !self.disruption_marks.iter().any(|&(r, _, _)| r == d) {
+                    self.disruption_marks.push((d, bits, messages));
                 }
             }
-            let leaders = self.host.leaders();
-            if tracing && prev_leaders.as_deref() != Some(&leaders) {
-                let ids: Vec<String> = leaders.iter().map(NodeId::to_string).collect();
-                self.host
-                    .record_trace_event("leader-set", format!("[{}]", ids.join(", ")));
-                prev_leaders = Some(leaders.clone());
-            }
-            self.monitor.observe(round, &leaders);
-            if tracing {
-                while recovery_costs.len() < self.monitor.recoveries().len() {
-                    let r = self.monitor.recoveries()[recovery_costs.len()];
-                    let (bits, messages) = self.ledger_totals();
-                    let (b0, m0) = disruption_marks
-                        .iter()
-                        .find(|&&(d, _, _)| d == r.disrupted_at)
-                        .map_or((0, 0), |&(_, b, m)| (b, m));
-                    recovery_costs.push((bits - b0, messages - m0));
-                }
-            }
-            if round >= self.horizon {
-                break;
-            }
-            self.host.step();
         }
-        let final_leaders = self.host.leaders();
-        let final_alive = (0..self.host.node_count())
-            .filter(|&i| !self.host.is_crashed(NodeId::new(i)))
-            .count();
-        let outcome = ScenarioOutcome {
-            rounds_run: self.host.round(),
-            event_log: self.log,
-            recoveries: self.monitor.recoveries().to_vec(),
-            pending_disruption: self.monitor.pending_disruption(),
-            leader_flaps: self.monitor.flaps(),
-            final_leaders,
-            final_alive,
-            final_edges: self.graph.edge_count(),
-        };
-        (outcome, self.host, recovery_costs)
+        let leaders = self.host.leaders();
+        if tracing && self.prev_leaders.as_deref() != Some(&leaders) {
+            let ids: Vec<String> = leaders.iter().map(NodeId::to_string).collect();
+            self.host
+                .record_trace_event("leader-set", format!("[{}]", ids.join(", ")));
+            self.prev_leaders = Some(leaders.clone());
+        }
+        self.monitor.observe(round, &leaders);
+        self.observed_through = Some(round);
+        if tracing {
+            while self.recovery_costs.len() < self.monitor.recoveries().len() {
+                let r = self.monitor.recoveries()[self.recovery_costs.len()];
+                let (bits, messages) = self.ledger_totals();
+                let (b0, m0) = self
+                    .disruption_marks
+                    .iter()
+                    .find(|&&(d, _, _)| d == r.disrupted_at)
+                    .map_or((0, 0), |&(_, b, m)| (b, m));
+                self.recovery_costs.push((bits - b0, messages - m0));
+            }
+        }
     }
 
     /// Current `(bits, messages)` totals of the host ledger (zeros when
@@ -459,9 +446,7 @@ impl<H: DynamicHost> Engine<H> {
     /// materialization is `O(n + m)`).
     #[cfg(debug_assertions)]
     fn assert_mirror_matches_host(&self, round: u64, event: &ScenarioEvent) {
-        let Some(host_graph) = self.host.topology_snapshot() else {
-            return;
-        };
+        let host_graph = self.host.topology_snapshot();
         assert_eq!(
             host_graph.node_count(),
             self.graph.node_count(),

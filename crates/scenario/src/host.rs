@@ -16,8 +16,8 @@
 
 use bfw_graph::{Graph, NodeId, TopologyDelta};
 use bfw_sim::{
-    ActivationEngine, ActivationLeaderModel, BitEngine, BitModel, ComplexityLedger, FlightRecorder,
-    LeaderModel, TickEngine,
+    ActivationEngine, ActivationLeaderModel, BitEngine, BitModel, ComplexityLedger,
+    EngineCheckpoint, FlightRecorder, LeaderModel, TickEngine,
 };
 
 /// A runtime the scenario engine can perturb mid-run.
@@ -68,42 +68,53 @@ pub trait DynamicHost {
     /// Identifiers of all alive leaders.
     fn leaders(&self) -> Vec<NodeId>;
 
-    /// Materializes the host's **current** communication graph, if the
-    /// runtime can expose it (`None` otherwise). The engine uses this
-    /// in debug builds to assert, after every topology event, that its
-    /// own [`DynamicGraph`](bfw_graph::DynamicGraph) mirror and the
-    /// host's edge set have not diverged — the two track the same edges
+    /// The whole configuration, in original node-label order on every
+    /// kernel (the state half of a snapshot).
+    fn states(&self) -> Vec<Self::State>;
+
+    /// Captures the host's [`EngineCheckpoint`]: round counter, crash
+    /// mask, noise channels, per-node RNG stream positions and, on the
+    /// asynchronous runtime, the scheduler half.
+    fn checkpoint(&self) -> EngineCheckpoint;
+
+    /// Restores a [`checkpoint`](Self::checkpoint) onto a host built
+    /// from the same seed and the checkpointed topology, installing
+    /// `states` (an asynchronous host must already carry the
+    /// checkpointed run's scheduler).
+    fn restore_checkpoint(&mut self, cp: &EngineCheckpoint, states: Vec<Self::State>);
+
+    /// Turns the host's complexity instrumentation on (see
+    /// [`bfw_sim::instrument`]), with a flight recorder holding the last
+    /// `recorder_capacity` events when given. Purely passive: it never
+    /// changes an execution.
+    fn enable_instrumentation(&mut self, recorder_capacity: Option<usize>);
+
+    /// Materializes the host's **current** communication graph: the
+    /// topology half of a snapshot. The engine also uses it in debug
+    /// builds to assert, after every topology event, that its own
+    /// [`DynamicGraph`](bfw_graph::DynamicGraph) mirror and the host's
+    /// edge set have not diverged — the two track the same edges
     /// independently, and a silent divergence would invalidate every
     /// event validated against the mirror from that point on.
-    fn topology_snapshot(&self) -> Option<Graph> {
-        None
-    }
+    fn topology_snapshot(&self) -> Graph;
 
     /// Returns `true` when the host's complexity instrumentation is on
     /// (see [`bfw_sim::instrument`]). The engine uses this to skip all
     /// trace bookkeeping — leader-set diffing, ledger snapshots — on
-    /// untraced runs. Hosts without an instrumentation seam report
-    /// `false`.
-    fn instrumentation_enabled(&self) -> bool {
-        false
-    }
+    /// untraced runs.
+    fn instrumentation_enabled(&self) -> bool;
 
     /// Returns the host's accumulated complexity counters, if
-    /// instrumentation is on (`None` for uninstrumented hosts).
-    fn complexity_ledger(&self) -> Option<&ComplexityLedger> {
-        None
-    }
+    /// instrumentation is on.
+    fn complexity_ledger(&self) -> Option<&ComplexityLedger>;
 
     /// Returns the host's flight recorder, if one is attached.
-    fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        None
-    }
+    fn flight_recorder(&self) -> Option<&FlightRecorder>;
 
     /// Records an event into the host's flight recorder, stamped with
-    /// the host's own notion of time (rounds or activations). A no-op
-    /// on hosts without a recorder — the engine calls this
-    /// unconditionally for every applied scenario event.
-    fn record_trace_event(&mut self, _kind: &str, _detail: String) {}
+    /// the host's own notion of time (rounds or activations); a no-op
+    /// without a recorder.
+    fn record_trace_event(&mut self, kind: &str, detail: String);
 }
 
 impl<M: LeaderModel> DynamicHost for TickEngine<M> {
@@ -152,8 +163,24 @@ impl<M: LeaderModel> DynamicHost for TickEngine<M> {
         TickEngine::leaders(self)
     }
 
-    fn topology_snapshot(&self) -> Option<Graph> {
-        Some(self.topology().to_graph())
+    fn states(&self) -> Vec<M::State> {
+        TickEngine::states(self).to_vec()
+    }
+
+    fn checkpoint(&self) -> EngineCheckpoint {
+        TickEngine::checkpoint(self)
+    }
+
+    fn restore_checkpoint(&mut self, cp: &EngineCheckpoint, states: Vec<M::State>) {
+        TickEngine::restore_checkpoint(self, cp, states);
+    }
+
+    fn enable_instrumentation(&mut self, recorder_capacity: Option<usize>) {
+        TickEngine::enable_instrumentation(self, recorder_capacity);
+    }
+
+    fn topology_snapshot(&self) -> Graph {
+        self.topology().to_graph()
     }
 
     fn instrumentation_enabled(&self) -> bool {
@@ -219,8 +246,24 @@ impl<M: BitModel> DynamicHost for BitEngine<M> {
         BitEngine::leaders(self)
     }
 
-    fn topology_snapshot(&self) -> Option<Graph> {
-        Some(self.topology().to_graph())
+    fn states(&self) -> Vec<M::State> {
+        BitEngine::states(self)
+    }
+
+    fn checkpoint(&self) -> EngineCheckpoint {
+        BitEngine::checkpoint(self)
+    }
+
+    fn restore_checkpoint(&mut self, cp: &EngineCheckpoint, states: Vec<M::State>) {
+        BitEngine::restore_checkpoint(self, cp, states);
+    }
+
+    fn enable_instrumentation(&mut self, recorder_capacity: Option<usize>) {
+        BitEngine::enable_instrumentation(self, recorder_capacity);
+    }
+
+    fn topology_snapshot(&self) -> Graph {
+        self.topology().to_graph()
     }
 
     fn instrumentation_enabled(&self) -> bool {
@@ -290,8 +333,24 @@ impl<M: ActivationLeaderModel> DynamicHost for ActivationEngine<M> {
         ActivationEngine::leaders(self)
     }
 
-    fn topology_snapshot(&self) -> Option<Graph> {
-        Some(self.topology().to_graph())
+    fn states(&self) -> Vec<M::State> {
+        ActivationEngine::states(self).to_vec()
+    }
+
+    fn checkpoint(&self) -> EngineCheckpoint {
+        ActivationEngine::checkpoint(self)
+    }
+
+    fn restore_checkpoint(&mut self, cp: &EngineCheckpoint, states: Vec<M::State>) {
+        ActivationEngine::restore_checkpoint(self, cp, states);
+    }
+
+    fn enable_instrumentation(&mut self, recorder_capacity: Option<usize>) {
+        ActivationEngine::enable_instrumentation(self, recorder_capacity);
+    }
+
+    fn topology_snapshot(&self) -> Graph {
+        self.topology().to_graph()
     }
 
     fn instrumentation_enabled(&self) -> bool {

@@ -295,8 +295,9 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 /// Returns ` (did you mean 'x'?)` when a known name is within edit
 /// distance 2 of `given` (ties resolved toward the closest, then the
-/// first listed), or an empty string otherwise.
-fn did_you_mean(given: &str, known: &[&str]) -> String {
+/// first listed), or an empty string otherwise. The hint every
+/// misspelled name gets, from TOML keys to CLI verbs.
+pub fn did_you_mean(given: &str, known: &[&str]) -> String {
     known
         .iter()
         .map(|k| (edit_distance(given, k), *k))
@@ -304,6 +305,82 @@ fn did_you_mean(given: &str, known: &[&str]) -> String {
         .min_by_key(|&(d, _)| d)
         .map(|(_, k)| format!(" (did you mean '{k}'?)"))
         .unwrap_or_default()
+}
+
+/// The stack rules: which `protocol`, `runtime`, `kernel`, `threads`,
+/// `scheduler` and recovery-timing keys combine. The one copy of them,
+/// enforced by the parser, by every runner before it builds a host,
+/// and by `validate` — so a spec built in code fails exactly like the
+/// TOML that spells it, instead of silently running the wrong stack or
+/// dropping a key.
+pub(crate) fn check_stack_invariants(spec: &ScenarioSpec) -> Result<(), SpecError> {
+    if spec.protocol == ProtocolKind::Bfw {
+        for (key, value) in [
+            ("heartbeat", spec.heartbeat),
+            ("timeout", spec.timeout),
+            ("grace", spec.grace),
+        ] {
+            if value.is_some() {
+                return Err(err(format!(
+                    "{key} requires protocol = \"bfw+recovery\" (heartbeat, timeout and grace \
+                     all require protocol = \"bfw+recovery\"; plain bfw has no recovery layer)"
+                )));
+            }
+        }
+    }
+    if spec.runtime == RuntimeKind::Async && spec.protocol == ProtocolKind::BfwRecovery {
+        return Err(err(
+            "runtime = \"async\" cannot execute protocol = \"bfw+recovery\": the recovery \
+             layer multiplexes election and heartbeat slots over round parity, which only \
+             exists under synchronous rounds (did you mean protocol = \"bfw\"?)",
+        ));
+    }
+    if spec.runtime == RuntimeKind::Sync && spec.scheduler.is_some() {
+        return Err(err(
+            "scheduler requires runtime = \"async\" (synchronous rounds have no activation \
+             scheduler)",
+        ));
+    }
+    if spec.kernel == KernelKind::Bit {
+        if spec.protocol == ProtocolKind::BfwRecovery {
+            return Err(err(
+                "kernel = \"bit\" cannot execute protocol = \"bfw+recovery\": the bitplane \
+                 kernel packs the six plain BFW states; the recovery layer's epoch-tagged \
+                 states do not fit (did you mean kernel = \"generic\"?)",
+            ));
+        }
+        if spec.runtime == RuntimeKind::Async {
+            return Err(err(
+                "kernel = \"bit\" requires synchronous rounds: the bitplane kernel advances \
+                 whole words per round, which has no meaning under activation-based \
+                 scheduling (did you mean runtime = \"sync\"?)",
+            ));
+        }
+    }
+    if spec.threads.is_some() {
+        if spec.kernel == KernelKind::Generic {
+            return Err(err(
+                "threads requires the bit kernel: the generic engine steps nodes one at a \
+                 time; only the bitplane kernel's word-sharded step fans out across worker \
+                 threads (did you mean kernel = \"bit\"?)",
+            ));
+        }
+        if spec.runtime == RuntimeKind::Async {
+            return Err(err(
+                "threads requires synchronous rounds: only the bitplane kernel's \
+                 word-sharded step fans out across worker threads, and it has no meaning \
+                 under activation-based scheduling (did you mean runtime = \"sync\"?)",
+            ));
+        }
+        if spec.protocol == ProtocolKind::BfwRecovery {
+            return Err(err(
+                "threads requires protocol = \"bfw\": the recovery layer runs on the \
+                 generic engine, which steps nodes one at a time (only the bitplane \
+                 kernel's word-sharded step fans out across worker threads)",
+            ));
+        }
+    }
+    Ok(())
 }
 
 impl ScenarioSpec {
@@ -370,71 +447,7 @@ impl ScenarioSpec {
         if !(spec.p > 0.0 && spec.p < 1.0) {
             return Err(err(format!("p must be in (0, 1), got {}", spec.p)));
         }
-        if spec.protocol == ProtocolKind::Bfw {
-            for (key, value) in [
-                ("heartbeat", spec.heartbeat),
-                ("timeout", spec.timeout),
-                ("grace", spec.grace),
-            ] {
-                if value.is_some() {
-                    return Err(err(format!(
-                        "{key} requires protocol = \"bfw+recovery\" (plain bfw has no recovery layer)"
-                    )));
-                }
-            }
-        }
-        if spec.runtime == RuntimeKind::Async && spec.protocol == ProtocolKind::BfwRecovery {
-            return Err(err(
-                "runtime = \"async\" cannot execute protocol = \"bfw+recovery\": the recovery \
-                 layer multiplexes election and heartbeat slots over round parity, which only \
-                 exists under synchronous rounds (did you mean protocol = \"bfw\"?)",
-            ));
-        }
-        if spec.runtime == RuntimeKind::Sync && spec.scheduler.is_some() {
-            return Err(err(
-                "scheduler requires runtime = \"async\" (synchronous rounds have no activation \
-                 scheduler)",
-            ));
-        }
-        if spec.kernel == KernelKind::Bit {
-            if spec.protocol == ProtocolKind::BfwRecovery {
-                return Err(err(
-                    "kernel = \"bit\" cannot execute protocol = \"bfw+recovery\": the bitplane \
-                     kernel packs the six plain BFW states; the recovery layer's epoch-tagged \
-                     states do not fit (did you mean kernel = \"generic\"?)",
-                ));
-            }
-            if spec.runtime == RuntimeKind::Async {
-                return Err(err(
-                    "kernel = \"bit\" requires synchronous rounds: the bitplane kernel advances \
-                     whole words per round, which has no meaning under activation-based \
-                     scheduling (did you mean runtime = \"sync\"?)",
-                ));
-            }
-        }
-        if spec.threads.is_some() {
-            if spec.kernel == KernelKind::Generic {
-                return Err(err(
-                    "threads requires the bit kernel: the generic engine steps nodes one at a \
-                     time; only the bitplane kernel's word-sharded step fans out across worker \
-                     threads (did you mean kernel = \"bit\"?)",
-                ));
-            }
-            if spec.runtime == RuntimeKind::Async {
-                return Err(err(
-                    "threads requires synchronous rounds: only the bitplane kernel's \
-                     word-sharded step fans out across worker threads, and it has no meaning \
-                     under activation-based scheduling (did you mean runtime = \"sync\"?)",
-                ));
-            }
-            if spec.protocol == ProtocolKind::BfwRecovery {
-                return Err(err(
-                    "threads requires protocol = \"bfw\": the recovery layer runs on the \
-                     generic engine, which steps nodes one at a time (only the bitplane \
-                     kernel's word-sharded step fans out across worker threads)",
-                ));
-            }
-        }
+        check_stack_invariants(&spec)?;
         Ok(spec)
     }
 

@@ -9,8 +9,8 @@
 //! check the engine would eventually make:
 //!
 //! * **stack invariants** — the same kernel/threads/runtime/scheduler/
-//!   recovery-key rules the runner enforces (shared code, so the two
-//!   can never drift);
+//!   recovery-key rules the parser and the runner enforce (one
+//!   function, so the three can never drift);
 //! * **recovery timing** — the relay-window-vs-eccentricity bound of
 //!   [`crate::scenario_recovery_config`], resolved against the actual
 //!   graph;
@@ -25,7 +25,7 @@
 //! Hard misconfigurations are [`SpecError`]s; conditions that are legal
 //! but almost certainly unintended come back as warning strings.
 
-use crate::bfw_run::check_stack_invariants;
+use crate::spec::check_stack_invariants;
 use crate::{
     scenario_recovery_config, InjectKind, ProtocolKind, ScenarioEvent, ScenarioSpec, Schedule,
     SpecError,
@@ -44,12 +44,6 @@ use bfw_graph::{algo, Graph, NodeId};
 /// can never do anything, scheduling it is a bug worth stopping on.
 pub fn validate_scenario(spec: &ScenarioSpec, graph: &Graph) -> Result<Vec<String>, SpecError> {
     check_stack_invariants(spec)?;
-    if spec.runtime == crate::RuntimeKind::Async && spec.protocol == ProtocolKind::BfwRecovery {
-        return Err(SpecError::new(
-            "runtime = \"async\" cannot execute protocol = \"bfw+recovery\": slot multiplexing \
-             needs synchronous rounds (did you mean protocol = \"bfw\"?)",
-        ));
-    }
     if spec.protocol == ProtocolKind::BfwRecovery {
         scenario_recovery_config(spec, graph)?;
     }

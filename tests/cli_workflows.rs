@@ -78,3 +78,43 @@ fn help_covers_all_subcommands() {
         assert!(help.contains(cmd), "missing {cmd}");
     }
 }
+
+#[test]
+fn scenario_spec_documents_replay_through_every_verb() {
+    // Whatever `scenario export --out` and `scenario shrink --out`
+    // write, `scenario run|validate|step` read back.
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios");
+    let dir = std::env::temp_dir().join(format!("bfw_cli_spec_replay_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let min = dir.join("min.json");
+    let min = min.display();
+    run_cli(&format!(
+        "scenario shrink {examples}/wipeout_e17.toml --quick --out {min}"
+    ))
+    .expect("the E17 corpus shrinks");
+    let replay = run_cli(&format!("scenario run {min}")).expect("the reproducer runs");
+    assert!(replay.contains("final leaders:     []"), "{replay}");
+    let validated = run_cli(&format!("scenario validate {min}")).expect("it validates");
+    assert!(validated.contains("1 timeline entries"), "{validated}");
+    let stepped = run_cli(&format!("scenario step {min} --rounds 100")).expect("it steps");
+    assert!(stepped.contains("bfw/engine-snapshot"), "{stepped}");
+
+    let spec = dir.join("spec.json");
+    let spec = spec.display();
+    let toml = format!("{examples}/ring_churn.toml");
+    run_cli(&format!("scenario export {toml} --seed 42 --out {spec}")).expect("export");
+    let from_toml = run_cli(&format!("scenario run {toml} --seed 42")).expect("the TOML runs");
+    let from_json = run_cli(&format!("scenario run {spec}")).expect("the export runs");
+    assert_eq!(from_json, from_toml);
+
+    // A JSON document of another kind is refused by its envelope, not
+    // misread as TOML.
+    let snapshot = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/wipeout_e17_round600.snapshot.json"
+    );
+    let err = run_cli(&format!("scenario run {snapshot}")).unwrap_err();
+    assert!(err.contains("scenario-spec"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

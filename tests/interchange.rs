@@ -1,14 +1,17 @@
 //! Workspace-level interchange checks: every tracked `BENCH_*.json`
 //! artifact is a valid, canonically-rendered `bfw/bench-report`
-//! document, and the `bfw/graph` format round-trips byte-identically
-//! at scale.
+//! document, the heal-wipeout scenario report is too, and the
+//! `bfw/graph` format round-trips byte-identically at scale.
 //!
 //! The tracked artifacts are committed from release runs; these tests
 //! only *read* them (regeneration stays a release-binary affair — see
-//! the CI smoke steps).
+//! the CI smoke steps). The scenario report is generated in-process, so
+//! no test writes a file into the checkout.
 
+use bfw_bench::GraphSpec;
 use bfw_graph::generators;
 use bfw_graph::io::{export_json, import_json, GraphDoc, Provenance};
+use bfw_scenario::{run_bfw_scenario_traced, RunReport, ScenarioSpec};
 use bfw_stats::JsonValue;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -53,15 +56,31 @@ fn tracked_bench_reports_validate_and_are_canonical() {
 }
 
 #[test]
-fn tracked_heal_report_validates_and_is_canonical() {
-    // The committed scenario artifact: the `[trace]` section of
-    // `examples/scenarios/heal_wipeout.toml` writes it at seed 2, so
-    // `bfw scenario run examples/scenarios/heal_wipeout.toml` must
-    // reproduce it byte-for-byte.
+fn heal_wipeout_report_validates_and_is_canonical() {
+    // The scenario artifact the `[trace]` section of
+    // `examples/scenarios/heal_wipeout.toml` writes at seed 2, generated
+    // in-process the way `bfw scenario run` builds it: the scenario
+    // runner with tracing on, then the `bfw/scenario-report` document.
     let name = "heal_report.json";
-    let path = workspace_root().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{name} must be tracked at the workspace root: {e}"));
+    let seed = 2;
+    let toml =
+        std::fs::read_to_string(workspace_root().join("examples/scenarios/heal_wipeout.toml"))
+            .expect("the example scenario is tracked");
+    let spec = ScenarioSpec::parse(&toml).expect("the example scenario parses");
+    let workload: GraphSpec = spec.graph.parse().expect("the example graph parses");
+    let graph = workload.build();
+    let capacity = spec.trace.as_ref().map(|t| t.last);
+    let (outcome, trace) = run_bfw_scenario_traced(&spec, &graph, seed, capacity)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let report = RunReport::new(
+        &spec,
+        workload.to_string(),
+        graph.node_count(),
+        seed,
+        outcome,
+        trace,
+    );
+    let text = report.to_json_value().render_pretty();
 
     let summary =
         bfw_scenario::validate_run_report(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -78,7 +97,7 @@ fn tracked_heal_report_validates_and_is_canonical() {
         value,
         "{name}: parse–render–parse is not a fixpoint"
     );
-    assert_eq!(rendered, text, "{name}: committed bytes are not canonical");
+    assert_eq!(rendered, text, "{name}: rendered bytes are not canonical");
 }
 
 #[test]
